@@ -43,23 +43,19 @@ int main(int argc, char** argv) {
   peachy::support::Table table;
   table.header({"ranks", "ms", "messages", "bytes", "bytes/iter/rank", "matches serial"});
   for (const int ranks : {1, 2, 4, 8}) {
-    peachy::kmeans::MpiKmeansStats stats;
     peachy::kmeans::Result res;
     peachy::support::Stopwatch sw;
-    peachy::mpi::run(ranks, [&](peachy::mpi::Comm& comm) {
-      peachy::kmeans::MpiKmeansStats local;  // stats are rank-local
-      auto got = peachy::kmeans::cluster_mpi(
-          comm, comm.rank() == 0 ? points : peachy::data::PointSet{}, opts, &local);
-      if (comm.rank() == 0) {
-        res = std::move(got);
-        stats = local;
-      }
-    });
-    const double per_iter_rank = static_cast<double>(stats.bytes) /
+    const peachy::mpi::TrafficStats traffic =
+        peachy::mpi::run(ranks, [&](peachy::mpi::Comm& comm) {
+          auto got = peachy::kmeans::cluster_mpi(
+              comm, comm.rank() == 0 ? points : peachy::data::PointSet{}, opts);
+          if (comm.rank() == 0) res = std::move(got);
+        });
+    const double per_iter_rank = static_cast<double>(traffic.bytes) /
                                  static_cast<double>(iters) / static_cast<double>(ranks);
     table.row({static_cast<std::int64_t>(ranks), sw.elapsed_ms(),
-               static_cast<std::int64_t>(stats.messages),
-               static_cast<std::int64_t>(stats.bytes), per_iter_rank,
+               static_cast<std::int64_t>(traffic.messages),
+               static_cast<std::int64_t>(traffic.bytes), per_iter_rank,
                std::string{res.assignment == reference.assignment ? "yes" : "NO"}});
   }
   table.print();

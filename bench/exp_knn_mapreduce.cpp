@@ -67,18 +67,19 @@ int main(int argc, char** argv) {
       peachy::knn::MrKnnStats stats;
       std::vector<std::int32_t> pred;
       peachy::support::Stopwatch sw;
-      peachy::mpi::run(ranks, [&](peachy::mpi::Comm& comm) {
-        peachy::knn::MrKnnStats local;  // stats are rank-local
-        auto got = peachy::knn::mapreduce_classify(comm, db, queries, opts, &local);
-        if (comm.rank() == 0) {
-          pred = std::move(got);
-          stats = local;
-        }
-      });
+      const peachy::mpi::TrafficStats traffic =
+          peachy::mpi::run(ranks, [&](peachy::mpi::Comm& comm) {
+            peachy::knn::MrKnnStats local;  // stats are rank-local
+            auto got = peachy::knn::mapreduce_classify(comm, db, queries, opts, &local);
+            if (comm.rank() == 0) {
+              pred = std::move(got);
+              stats = local;
+            }
+          });
       table.row({static_cast<std::int64_t>(ranks), std::string{mode.name},
                  static_cast<std::int64_t>(stats.pairs_shuffled),
                  static_cast<std::int64_t>(stats.bytes_shuffled),
-                 static_cast<std::int64_t>(stats.messages), sw.elapsed_ms(),
+                 static_cast<std::int64_t>(traffic.messages), sw.elapsed_ms(),
                  std::string{pred == reference ? "yes" : "NO"}});
     }
   }

@@ -75,20 +75,16 @@ int main(int argc, char** argv) {
     peachy::support::Table table;
     table.header({"ranks", "ms", "messages", "bytes", "bit-identical"});
     for (const int ranks : {1, 2, 4, 8}) {
-      peachy::traffic::MpiTrafficStats stats;
       peachy::traffic::State result;
       peachy::support::Stopwatch sw;
-      peachy::mpi::run(ranks, [&](peachy::mpi::Comm& comm) {
-        peachy::traffic::MpiTrafficStats local;  // stats are rank-local
-        auto got = peachy::traffic::run_mpi(comm, spec, steps, &local);
-        if (comm.rank() == 0) {
-          result = std::move(got);
-          stats = local;
-        }
-      });
+      const peachy::mpi::TrafficStats traffic =
+          peachy::mpi::run(ranks, [&](peachy::mpi::Comm& comm) {
+            auto got = peachy::traffic::run_mpi(comm, spec, steps);
+            if (comm.rank() == 0) result = std::move(got);
+          });
       table.row({static_cast<std::int64_t>(ranks), sw.elapsed_ms(),
-                 static_cast<std::int64_t>(stats.messages),
-                 static_cast<std::int64_t>(stats.bytes),
+                 static_cast<std::int64_t>(traffic.messages),
+                 static_cast<std::int64_t>(traffic.bytes),
                  std::string{result == serial ? "yes" : "NO"}});
     }
     table.print();

@@ -42,7 +42,8 @@
 #               — Release tests + examples tree; runs the cross-backend
 #                 conformance suite (test_transport) and the shm-ring
 #                 stress suite (test_transport_stress: wraparound +
-#                 spill exhaustion under concurrent posters, crashed
+#                 spill exhaustion under concurrent posters, oversize
+#                 payloads in pieces, a 66-process segment, crashed
 #                 producer mid-slot), forces the full mpi/faults test
 #                 matrix onto the shm and socket wires via
 #                 PEACHY_TRANSPORT, re-runs both suites under ASan, and
@@ -370,7 +371,7 @@ run_transport_smoke() {
     fault_demo peachy-launch -j "$JOBS"
   echo "==== [transport-smoke] cross-backend conformance suite ===="
   "$dir/tests/test_transport"
-  echo "==== [transport-smoke] shm ring stress suite (fast + locked) ===="
+  echo "==== [transport-smoke] shm ring stress suite ===="
   "$dir/tests/test_transport_stress"
   echo "==== [transport-smoke] full mpi + faults matrix on each wire backend ===="
   for transport in shm socket; do

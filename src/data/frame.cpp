@@ -1,7 +1,9 @@
 #include "data/frame.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 #include <numeric>
 #include <sstream>
@@ -269,26 +271,24 @@ std::vector<CsvRow> Frame::to_csv() const {
 
 namespace {
 
+// True when strto* parses all of `s` — what std::stoll / std::stod
+// accept (no conversion or ERANGE is a failure), minus the exceptions.
+template <typename T, typename Strto>
+bool parse_whole(const std::string& s, T& out, Strto strto) {
+  char* end = nullptr;
+  errno = 0;
+  const T v = strto(s.c_str(), &end);
+  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE) return false;
+  out = v;
+  return true;
+}
+
 bool parse_int(const std::string& s, std::int64_t& out) {
-  if (s.empty()) return false;
-  std::size_t used = 0;
-  try {
-    out = std::stoll(s, &used);
-  } catch (const std::exception&) {
-    return false;
-  }
-  return used == s.size();
+  return parse_whole(s, out, [](const char* p, char** e) { return std::strtoll(p, e, 10); });
 }
 
 bool parse_double(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  std::size_t used = 0;
-  try {
-    out = std::stod(s, &used);
-  } catch (const std::exception&) {
-    return false;
-  }
-  return used == s.size();
+  return parse_whole(s, out, [](const char* p, char** e) { return std::strtod(p, e); });
 }
 
 }  // namespace
@@ -299,17 +299,23 @@ Frame Frame::from_csv(const std::vector<CsvRow>& rows) {
   const std::size_t ncols = header.size();
   PEACHY_CHECK(ncols > 0, "frame from_csv: empty header");
 
-  // Infer each column's type from the data rows.
+  for (std::size_t r = 1; r < rows.size(); ++r) {
+    PEACHY_CHECK(rows[r].size() == ncols,
+                 "frame from_csv: row " + std::to_string(r + 1) + " is ragged");
+  }
+  // Infer each column's type from the data rows; a column stops being
+  // scanned once one cell shows it is a string.  Every int cell is also a
+  // double, so a cell is parsed as a double only once the column is not
+  // all ints.
   std::vector<ColType> types(ncols, ColType::kInt);
   for (std::size_t c = 0; c < ncols; ++c) {
     bool all_int = true, all_num = true;
-    for (std::size_t r = 1; r < rows.size(); ++r) {
-      PEACHY_CHECK(rows[r].size() == ncols,
-                   "frame from_csv: row " + std::to_string(r + 1) + " is ragged");
+    for (std::size_t r = 1; r < rows.size() && all_num; ++r) {
       std::int64_t i;
       double d;
-      if (!parse_int(rows[r][c], i)) all_int = false;
-      if (!parse_double(rows[r][c], d)) all_num = false;
+      if (all_int && parse_int(rows[r][c], i)) continue;
+      all_int = false;
+      all_num = parse_double(rows[r][c], d);
     }
     types[c] = all_int ? ColType::kInt : (all_num ? ColType::kDouble : ColType::kString);
     if (rows.size() == 1) types[c] = ColType::kString;  // no data: default to string

@@ -159,8 +159,6 @@ Result cluster_mpi(mpi::Comm& comm, const data::PointSet& points, const Options&
   res.inertia = comm.allreduce_value(local_inertia, std::plus<>{});
 
   if (stats != nullptr) {
-    stats->messages = comm.traffic().messages;
-    stats->bytes = comm.traffic().bytes;
     stats->iterations = res.iterations;
   }
   return res;

@@ -18,10 +18,9 @@
 
 namespace peachy::kmeans {
 
-/// Telemetry for the collective-communication experiment (T-KM-2).
+/// Telemetry for the collective-communication experiment (T-KM-2).  The
+/// run's message and byte counts are the TrafficStats mpi::run returns.
 struct MpiKmeansStats {
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
   std::size_t iterations = 0;
 };
 

@@ -110,7 +110,6 @@ std::vector<std::int32_t> mapreduce_classify(mpi::Comm& comm, const data::Labele
   if (stats != nullptr) {
     stats->pairs_shuffled = mr.shuffle_stats().pairs_before;
     stats->bytes_shuffled = mr.shuffle_stats().bytes_sent;
-    stats->messages = comm.traffic().messages;
   }
 
   // Gather predictions at root.  gather() sorts within each rank only, so

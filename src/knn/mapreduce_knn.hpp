@@ -38,11 +38,11 @@ struct MrKnnOptions {
   bool local_combine = false;         ///< rank-level pre-reduction before shuffle
 };
 
-/// Telemetry from one distributed classification.
+/// Telemetry from one distributed classification.  The job's mini-MPI
+/// message and byte counts are the TrafficStats mpi::run returns.
 struct MrKnnStats {
   std::uint64_t pairs_shuffled = 0;   ///< pairs entering the shuffle (global)
   std::uint64_t bytes_shuffled = 0;   ///< serialized bytes crossing ranks
-  std::uint64_t messages = 0;         ///< mini-MPI messages for the whole job
 };
 
 /// Classify `queries` against `db` using MapReduce over `comm`.

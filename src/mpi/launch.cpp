@@ -265,7 +265,7 @@ LaunchResult launch_impl(const LaunchOptions& opts, const std::string& exec_path
       ps.sig = WTERMSIG(st);
       ++res.killed;
       if (!socket) {
-        // Order matters: publish the death to the segment's dead_mask
+        // Order matters: publish the death to the segment's dead flags
         // first, so a consumer wedged on the victim's half-written slot
         // can prove the hole is dead and skip it — only then post the
         // kFailed frames that ride the rings behind any such hole.
@@ -275,7 +275,7 @@ LaunchResult launch_impl(const LaunchOptions& opts, const std::string& exec_path
         detail::seal_frame(h, nullptr);
         for (int peer = 0; peer < n; ++peer) {
           if (peer == r || reaped[static_cast<std::size_t>(peer)]) continue;
-          (void)detail::ring_push(shm, peer, detail::kShmLauncherProc, h, nullptr);
+          (void)detail::ring_push(shm, peer, n, h, nullptr);  // n: the launcher's register
         }
       }
     }

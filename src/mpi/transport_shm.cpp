@@ -68,13 +68,9 @@ class ShmEndpoint {
     }
     dead_ = std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(nprocs_));
     pump_ = std::thread{[this] { pump_main(); }};
-    // Heartbeat: launched multi-process worlds only (from_env gates), and
-    // only while the alive-word array covers every process — wide worlds
-    // past kShmMaxFastProcs keep the launcher-only failure detector.
+    // Heartbeat: launched multi-process worlds only (from_env gates).
     hb_ = faults::HeartbeatConfig::from_env(launched_, nprocs_);
-    if (hb_.enabled() && nprocs_ <= kShmMaxFastProcs) {
-      beat_ = std::thread{[this] { beat_main(); }};
-    }
+    if (hb_.enabled()) beat_ = std::thread{[this] { beat_main(); }};
     started_ = true;
   }
 
@@ -107,7 +103,7 @@ class ShmEndpoint {
       beat_cv_.notify_all();
       beat_.join();
     }
-    // A self-addressed goodbye wakes the pump out of its condvar wait
+    // A self-addressed goodbye wakes the pump out of its futex wait
     // immediately (the 100ms safety poll would get there anyway).
     FrameHeader bye = make_ctrl_header(WireKind::kBye, 0, my_proc_, 0);
     seal_frame(bye, nullptr);
@@ -241,26 +237,24 @@ class ShmEndpoint {
   /// CLOCK_MONOTONIC timestamp into the segment's alive word — shared
   /// memory is the ping; no frames, no ring traffic — and scan the
   /// peers' words.  CLOCK_MONOTONIC is system-wide, so the words of
-  /// different processes are directly comparable.  A peer already in
-  /// dead_mask is the launcher's kill; we skip it.  A peer whose word
+  /// different processes are directly comparable.  A peer whose dead
+  /// flag is set is the launcher's kill; we skip it.  A peer whose word
   /// stays stale past the timeout (+ grace) is confirmed dead — SIGKILL
   /// with no launcher alive to notice, or wedged (SIGSTOP, runaway
   /// handler) — and fed to the router exactly like a launcher report.
   void beat_main() {
-    ShmSegHeader* hdr = view_.header();
     faults::HeartbeatMonitor mon{nprocs_, hb_};
     const auto interval = std::chrono::nanoseconds{hb_.interval_ns()};
     for (;;) {
       const std::uint64_t now = monotonic_ns();
-      hdr->alive_ns[my_proc_].store(now, std::memory_order_relaxed);
-      const std::uint64_t dead_mask = hdr->dead_mask.load(std::memory_order_relaxed);
+      view_.peer(my_proc_).alive_ns.store(now, std::memory_order_relaxed);
       for (int p = 0; p < nprocs_; ++p) {
         if (p == my_proc_) continue;
-        if ((dead_mask >> p) & 1u) continue;  // launcher already reported it
+        const ShmPeer& peer = view_.peer(p);
+        if (peer.dead.load(std::memory_order_relaxed) != 0) continue;  // launcher reported it
         std::atomic<bool>& dead = dead_[static_cast<std::size_t>(p)];
         if (dead.load(std::memory_order_relaxed)) continue;
-        const std::uint64_t w =
-            hdr->alive_ns[static_cast<std::size_t>(p)].load(std::memory_order_relaxed);
+        const std::uint64_t w = peer.alive_ns.load(std::memory_order_relaxed);
         if (w != 0) mon.alive(p, w);
         if (mon.check(p, now) == faults::HeartbeatMonitor::Verdict::kConfirmed) {
           dead.store(true, std::memory_order_relaxed);

@@ -89,6 +89,7 @@ void ThreadPool::submit(Task task) {
   {
     std::lock_guard lock{idle_mu_};
     tickets_.fetch_add(1, std::memory_order_release);
+    published_.fetch_add(1, std::memory_order_relaxed);
   }
   work_cv_.notify_one();
 }
@@ -100,6 +101,7 @@ bool ThreadPool::try_pop_local(std::size_t self, Item& out) {
   out = std::move(q.deque.back());  // LIFO end: freshest task, best locality
   q.deque.pop_back();
   q.size.store(q.deque.size(), std::memory_order_relaxed);
+  published_.fetch_sub(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -112,6 +114,7 @@ bool ThreadPool::try_steal(std::size_t self, Item& out) {
       out = std::move(q.deque.front());  // FIFO end: oldest task, biggest chunk
       q.deque.pop_front();
       q.size.store(q.deque.size(), std::memory_order_relaxed);
+      published_.fetch_sub(1, std::memory_order_relaxed);
       tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
       if (obs::enabled()) {
         static obs::Counter& steals = obs::counter("pool.steals");
@@ -170,8 +173,15 @@ void ThreadPool::worker_loop(std::size_t self) {
       idle_cv_.notify_all();
     }
     work_cv_.wait(lock, [&] {
-      return stop_.load(std::memory_order_relaxed) ||
-             tickets_.load(std::memory_order_relaxed) != seen;
+      const bool wake = stop_.load(std::memory_order_relaxed) ||
+                        tickets_.load(std::memory_order_relaxed) != seen;
+      // Every task published before `seen` was found by the scan or
+      // popped before it (the queue mutex orders the decrement), so
+      // blocking while the count is positive strands a task.
+      if (!wake && published_.load(std::memory_order_relaxed) > 0) {
+        missed_wakeups_.fetch_add(1, std::memory_order_relaxed);
+      }
+      return wake;
     });
     if (obs::enabled()) {
       static obs::Counter& wakeups = obs::counter("pool.idle_wakeups");

@@ -84,6 +84,13 @@ class ThreadPool {
     return tasks_stolen_.load(std::memory_order_relaxed);
   }
 
+  /// Times a worker went to sleep past a published, unclaimed task — a
+  /// missed wakeup.  Zero unless the sleep/wake protocol is broken,
+  /// however loaded the host.
+  [[nodiscard]] std::uint64_t missed_wakeups() const noexcept {
+    return missed_wakeups_.load(std::memory_order_relaxed);
+  }
+
   /// Index of the calling worker within this pool, or SIZE_MAX if the
   /// caller is not one of this pool's workers.
   [[nodiscard]] std::size_t worker_index() const noexcept;
@@ -127,6 +134,10 @@ class ThreadPool {
   /// publication workers wait on, closing the scan-to-wait window that a
   /// bare notify_one() could fall into (see worker_loop).
   std::atomic<std::uint64_t> tickets_{0};
+  /// Published (ticketed) tasks not yet popped; a pop can precede its
+  /// publication, so it may dip below zero.
+  std::atomic<std::int64_t> published_{0};
+  std::atomic<std::uint64_t> missed_wakeups_{0};
   std::atomic<std::size_t> pending_{0};  // submitted but not yet finished
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> tasks_executed_{0};

@@ -98,8 +98,6 @@ State run_mpi(mpi::Comm& comm, const Spec& spec, std::size_t steps, MpiTrafficSt
   }
 
   if (stats != nullptr) {
-    stats->messages = comm.traffic().messages;
-    stats->bytes = comm.traffic().bytes;
     stats->fast_forwards = stream.ff_calls();
   }
   return st;

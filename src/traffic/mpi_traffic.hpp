@@ -23,10 +23,9 @@
 
 namespace peachy::traffic {
 
-/// Telemetry for the distributed run.
+/// Telemetry for the distributed run.  The run's message and byte counts
+/// are the TrafficStats mpi::run returns.
 struct MpiTrafficStats {
-  std::uint64_t messages = 0;       ///< mini-MPI messages for the whole run
-  std::uint64_t bytes = 0;
   std::uint64_t fast_forwards = 0;  ///< PRNG cursor jumps issued by this rank
 };
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "data/csv.hpp"
@@ -409,4 +410,29 @@ TEST(Frame, FromCsvInfersDoubleForMixedNumeric) {
   const auto f = pd::Frame::from_csv({{"v"}, {"1"}, {"2.5"}});
   EXPECT_EQ(f.types()[0], pd::ColType::kDouble);
   EXPECT_DOUBLE_EQ(f.num(1, "v"), 2.5);
+}
+
+// Type inference accepts a cell as a number exactly when std::stoll /
+// std::stod would: leading blanks and a sign are fine, the whole cell
+// must be consumed, and out-of-range values (both ways) are strings.
+TEST(Frame, FromCsvInfersCellTypesLikeStollAndStod) {
+  using T = pd::ColType;
+  const std::tuple<const char*, T, pd::Value> cases[] = {
+      {" 12", T::kInt, std::int64_t{12}},      {"+3", T::kInt, std::int64_t{3}},
+      {"1e400", T::kString, "1e400"},          {"1e-400", T::kString, "1e-400"},
+      {"0x1A", T::kDouble, 26.0},              {"12abc", T::kString, "12abc"},
+      {"inf", T::kDouble, std::numeric_limits<double>::infinity()},
+      {"", T::kString, ""}};
+  for (const auto& [cell, type, value] : cases) {
+    const auto f = pd::Frame::from_csv({{"v"}, {cell}});
+    EXPECT_EQ(f.types()[0], type) << '"' << cell << '"';
+    EXPECT_EQ(f.cell(0, 0), value) << '"' << cell << '"';
+  }
+  const auto nan = pd::Frame::from_csv({{"v"}, {"nan"}});
+  EXPECT_EQ(nan.types()[0], pd::ColType::kDouble);
+  EXPECT_TRUE(std::isnan(nan.num(0, "v")));
+
+  // A column settled as a string early still has every row checked.
+  EXPECT_THROW((void)pd::Frame::from_csv({{"s", "n"}, {"x", "1"}, {"y", "2"}, {"z"}}),
+               peachy::Error);
 }

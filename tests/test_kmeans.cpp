@@ -256,13 +256,13 @@ TEST(KmeansMpi, ReportsTraffic) {
   const auto points = blobs(40, 2, 2);
   const km::Options opts = default_opts(2);
   km::MpiKmeansStats stats;
-  pm::run(3, [&](pm::Comm& comm) {
+  const pm::TrafficStats traffic = pm::run(3, [&](pm::Comm& comm) {
     km::MpiKmeansStats local;  // stats objects are rank-local (each rank fills its own)
     (void)km::cluster_mpi(comm, comm.rank() == 0 ? points : pd::PointSet{}, opts, &local);
     if (comm.rank() == 0) stats = local;
   });
-  EXPECT_GT(stats.messages, 0u);
-  EXPECT_GT(stats.bytes, 0u);
+  EXPECT_GT(traffic.messages, 0u);
+  EXPECT_GT(traffic.bytes, 0u);
   EXPECT_GT(stats.iterations, 0u);
 }
 

@@ -302,6 +302,9 @@ TEST(PoolDispatch, BurstOfTinySubmitsHasSubMillisecondP99) {
   const double p99 = latency_ms[static_cast<std::size_t>(kBurst * 99 / 100)];
   EXPECT_LT(p99, 1.0) << "p99 dispatch latency " << p99
                       << " ms — sleeping workers are missing submit wakeups";
+  // The load-independent form of the same check: no worker ever went to
+  // sleep past a published task.
+  EXPECT_EQ(pool.missed_wakeups(), 0u);
 }
 
 // ---- wire fault / heartbeat counter cross-checks (DESIGN.md §17) ------------

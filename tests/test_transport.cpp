@@ -20,7 +20,9 @@
 #include "analysis/report.hpp"
 #include "faults/faults.hpp"
 #include "faults/plan.hpp"
+#include "kmeans/mpi_kmeans.hpp"
 #include "mpi/mpi.hpp"
+#include "mpi/shm_ring.hpp"
 #include "obs/obs.hpp"
 #include "traffic/mpi_traffic.hpp"
 #include "tune/tune.hpp"
@@ -493,4 +495,26 @@ TEST(WireChaosShm, TruncatedFrameZerosTheTailAndFailsCrc) {
   EXPECT_GE(peachy::obs::counter("mpi.transport.crc_fail").value(), 1);
   peachy::obs::disable();
   peachy::obs::reset();
+}
+
+TEST(ShmOversize, KmeansScatterBlockLargerThanTheSpillArenaMatchesSequential) {
+  // Two ranks of 8-d doubles (64 B a point): each rank's scatter block is
+  // larger than the ring's whole spill arena, so it crosses as pieces.
+  constexpr std::size_t kBlockPoints = peachy::mpi::detail::kShmSpillBytes / 64 + 1000;
+  const auto points = peachy::data::uniform_points(2 * kBlockPoints, 8, -10.0, 10.0, 1);
+  peachy::kmeans::Options opts;
+  opts.k = 4;
+  opts.max_iterations = 2;
+  const auto expect = peachy::kmeans::cluster_sequential(points, opts);
+  pm::RunOptions o;
+  o.transport = pm::TransportKind::kShm;
+  peachy::kmeans::Result got;
+  pm::run(2, [&](pm::Comm& c) {
+    auto r = peachy::kmeans::cluster_mpi(c, c.rank() == 0 ? points : peachy::data::PointSet{},
+                                         opts);
+    if (c.rank() == 0) got = std::move(r);
+  }, o);
+  EXPECT_EQ(got.assignment, expect.assignment);
+  EXPECT_EQ(got.iterations, expect.iterations);
+  EXPECT_NEAR(got.inertia, expect.inertia, 1e-9 * expect.inertia);
 }

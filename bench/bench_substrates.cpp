@@ -11,8 +11,7 @@
 /// shipped path.
 ///
 /// Usage:
-///   bench_substrates [--tiny] [--out FILE] [--profile FILE]
-///                    [--transport=inproc|shm|socket]
+///   bench_substrates [--tiny] [--out FILE] [--transport=inproc|shm|socket]
 ///
 /// --tiny shrinks every workload to smoke-test size (for scripts/check.sh
 /// bench-substrates-smoke: validates the wiring and the JSON schema, not
@@ -21,10 +20,8 @@
 /// Besides the legacy-twin rows, the harness sweeps the collective
 /// *algorithm* space (op × p × message size): for every cell it times
 /// each algorithm variant and records the full per-algorithm timing map
-/// (the crossover record), with `scalar_ns` = the compiled-in default
-/// algorithm and `kernel_ns` = whatever the profile given by --profile
-/// selects (no profile: the defaults again, speedup ~1).  This is the
-/// sweep scripts/check.sh tune-smoke gates tuned-vs-default speedups on.
+/// (the crossover record) as the row's `algos`, with the default (kAuto)
+/// timing as both `scalar_ns` and `kernel_ns`.
 ///
 /// Method: best-of-R wall time per benchmark; each timed run executes
 /// many collective rounds inside one mpi::run so buffer traffic, not
@@ -46,7 +43,6 @@
 #include "mpi/buffer_pool.hpp"
 #include "mpi/mpi.hpp"
 #include "support/timer.hpp"
-#include "tune/tune.hpp"
 
 namespace {
 
@@ -370,54 +366,41 @@ void bench_shuffle(int ranks, std::size_t pairs, std::size_t value_bytes, int ro
 // ---------------------------------------------------------------------------
 // Collective-algorithm sweep (op × p × message size).
 
-namespace pt = peachy::tune;
-
-/// A Tunables snapshot that forces `algo` for `op` at every (p, bytes) —
-/// the knob the sweep turns to time one variant in isolation.
-pt::Tunables force_algo(pt::CollOp op, pt::CollAlgo algo) {
-  pt::Tunables t;
-  pt::CollRule rule;
-  rule.op = op;
-  rule.algo = algo;
-  t.coll_rules.push_back(rule);
-  return t;
-}
-
 /// Time `rounds` back-to-back collectives of `op` on p ranks with n
-/// doubles (per-rank block for allgather), under the given tunables.
-double time_coll(pt::CollOp op, int ranks, std::size_t n, int rounds, int reps,
-                 const pt::Tunables& tun) {
+/// doubles (per-rank block for allgather), with `algo` forced for `op`.
+double time_coll(pm::CollOp op, int ranks, std::size_t n, int rounds, int reps,
+                 pm::CollAlgo algo) {
   pm::RunOptions opts;
-  opts.tunables = &tun;
+  opts.coll_algos.force(op, algo);
   const double secs = ps::time_best_of(reps, [&] {
     peachy::mpi::run(
         ranks,
         [op, n, rounds](pm::Comm& comm) {
           std::vector<double> data(n, 1.0 + 1e-9 * comm.rank());
           std::vector<double> all;
-          if (op == pt::CollOp::kAllgather) {
+          if (op == pm::CollOp::kAllgather) {
             all.resize(n * static_cast<std::size_t>(comm.size()));
           }
           for (int r = 0; r < rounds; ++r) {
             switch (op) {
-              case pt::CollOp::kBroadcast:
+              case pm::CollOp::kBroadcast:
                 comm.broadcast_into<double>(std::span<double>{data}, 0);
                 break;
-              case pt::CollOp::kReduce:
+              case pm::CollOp::kReduce:
                 comm.reduce_inplace<double>(std::span<double>{data}, std::plus<>{}, 0);
                 for (double& x : data) x = x * 1e-3 + 1.0;  // keep magnitudes O(1)
                 break;
-              case pt::CollOp::kAllreduce:
+              case pm::CollOp::kAllreduce:
                 comm.allreduce_inplace<double>(std::span<double>{data}, std::plus<>{});
                 for (double& x : data) x = x * 1e-3 + 1.0;
                 break;
-              case pt::CollOp::kAllgather:
+              case pm::CollOp::kAllgather:
                 comm.allgather_into<double>(std::span<const double>{data},
                                             std::span<double>{all});
                 break;
             }
           }
-          g_sink += op == pt::CollOp::kAllgather ? all.back() : data[0];
+          g_sink += op == pm::CollOp::kAllgather ? all.back() : data[0];
         },
         opts);
   });
@@ -428,71 +411,58 @@ double time_coll(pt::CollOp op, int ranks, std::size_t n, int rounds, int reps,
 /// the compiled-in default = the `scalar_ns` side); duplicates of the
 /// default path (binomial broadcast, ring allgather) are skipped, and
 /// recursive doubling only applies at power-of-two p.
-std::vector<pt::CollAlgo> sweep_algos(pt::CollOp op, int ranks) {
+std::vector<pm::CollAlgo> sweep_algos(pm::CollOp op, int ranks) {
   const bool pow2 = (ranks & (ranks - 1)) == 0;
-  std::vector<pt::CollAlgo> algos{pt::CollAlgo::kAuto, pt::CollAlgo::kLinear};
+  std::vector<pm::CollAlgo> algos{pm::CollAlgo::kAuto, pm::CollAlgo::kLinear};
   switch (op) {
-    case pt::CollOp::kBroadcast:
-      algos.push_back(pt::CollAlgo::kRing);  // pipeline chain
+    case pm::CollOp::kBroadcast:
+      algos.push_back(pm::CollAlgo::kRing);  // pipeline chain
       break;
-    case pt::CollOp::kReduce:
-      algos.push_back(pt::CollAlgo::kRing);
+    case pm::CollOp::kReduce:
+      algos.push_back(pm::CollAlgo::kRing);
       break;
-    case pt::CollOp::kAllreduce:
-      algos.push_back(pt::CollAlgo::kRing);
-      if (pow2) algos.push_back(pt::CollAlgo::kRecDouble);
+    case pm::CollOp::kAllreduce:
+      algos.push_back(pm::CollAlgo::kRing);
+      if (pow2) algos.push_back(pm::CollAlgo::kRecDouble);
       break;
-    case pt::CollOp::kAllgather:
-      if (pow2) algos.push_back(pt::CollAlgo::kRecDouble);
+    case pm::CollOp::kAllgather:
+      if (pow2) algos.push_back(pm::CollAlgo::kRecDouble);
       break;
   }
   return algos;
 }
 
-/// One sweep cell: time every variant, emit a row whose scalar_ns is the
-/// default algorithm, kernel_ns the profile-selected one, and whose
-/// "algos" map records the whole crossover picture.
-void bench_coll(pt::CollOp op, int ranks, std::size_t n, int rounds, int reps,
-                const pt::Tunables& profile) {
+/// One sweep cell: time every variant, emit a row whose scalar_ns and
+/// kernel_ns are the default algorithm and whose "algos" map records the
+/// whole crossover picture.
+void bench_coll(pm::CollOp op, int ranks, std::size_t n, int rounds, int reps) {
   const std::string name =
-      std::string{"coll_"} + pt::coll_op_name(op) + "_p" + std::to_string(ranks);
+      std::string{"coll_"} + pm::coll_op_name(op) + "_p" + std::to_string(ranks);
   const std::string shape = "p=" + std::to_string(ranks) + " n=" + std::to_string(n) +
                             " f64 rounds=" + std::to_string(rounds);
   const auto items = static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(rounds);
 
   std::string algos_json = "\"algos\": {";
   double default_ns = 0.0;
-  for (const pt::CollAlgo algo : sweep_algos(op, ranks)) {
-    const pt::Tunables forced = force_algo(op, algo);
-    const double ns = time_coll(op, ranks, n, rounds, reps, forced);
-    if (algo == pt::CollAlgo::kAuto) default_ns = ns;
+  for (const pm::CollAlgo algo : sweep_algos(op, ranks)) {
+    const double ns = time_coll(op, ranks, n, rounds, reps, algo);
+    if (algo == pm::CollAlgo::kAuto) default_ns = ns;
     char buf[96];
     std::snprintf(buf, sizeof buf, "%s\"%s\": %.1f",
-                  algo == pt::CollAlgo::kAuto ? "" : ", ", pt::coll_algo_name(algo), ns);
+                  algo == pm::CollAlgo::kAuto ? "" : ", ", pm::coll_algo_name(algo), ns);
     algos_json += buf;
   }
   algos_json += "}";
 
-  // What the profile actually selects for this cell (byte size = the
-  // sized-variant contract bytes, matching what Comm passes at runtime).
-  const double tuned_ns = time_coll(op, ranks, n, rounds, reps, profile);
-  const pt::CollAlgo picked =
-      profile.coll_algo(op, ranks, static_cast<std::int64_t>(n * sizeof(double)));
-
-  g_rows.push_back({name, shape, items, default_ns, tuned_ns, default_ns / tuned_ns,
-                    ", " + algos_json + ", \"picked\": \"" + pt::coll_algo_name(picked) + "\""});
-  std::printf("%-18s %-34s default %11.0f ns   tuned [%s] %11.0f ns   speedup %5.2fx\n",
-              name.c_str(), shape.c_str(), default_ns, pt::coll_algo_name(picked), tuned_ns,
-              default_ns / tuned_ns);
+  g_rows.push_back({name, shape, items, default_ns, default_ns, 1.0, ", " + algos_json});
+  std::printf("%-18s %-34s default %11.0f ns\n", name.c_str(), shape.c_str(), default_ns);
 }
 
 /// One k-means-style assign+update step per rank — the paper's
-/// representative substrate mix: a distance-panel scan (exercises
-/// distance_block_rows), a local accumulate, and an allreduce of the
-/// centroid sums (exercises the collective rules).  Times the compiled-in
-/// defaults against the profile, so the row measures what the *whole*
-/// tuned configuration buys an end-to-end workload at this rank count.
-void bench_mix(int ranks, bool tiny, int reps, const pt::Tunables& profile) {
+/// representative substrate mix: a distance-panel scan, a local
+/// accumulate, and an allreduce of the centroid sums, timed once per
+/// rank count and reported as both scalar_ns and kernel_ns.
+void bench_mix(int ranks, bool tiny, int reps) {
   namespace pk = peachy::kernels;
   const std::size_t n = tiny ? 32 : 1024;  // points per rank
   const std::size_t d = 16;
@@ -500,9 +470,8 @@ void bench_mix(int ranks, bool tiny, int reps, const pt::Tunables& profile) {
   const int iters = tiny ? 1 : 4;
   const std::size_t kp = pk::padded_count(k);
 
-  const auto run_once = [&](const pt::Tunables& tun) {
+  const auto run_once = [&] {
     pm::RunOptions opts;
-    opts.tunables = &tun;
     opts.transport = g_transport;
     peachy::mpi::run(
         ranks,
@@ -544,9 +513,7 @@ void bench_mix(int ranks, bool tiny, int reps, const pt::Tunables& profile) {
         opts);
   };
 
-  const pt::Tunables defaults;
-  const double default_ns = ps::time_best_of(reps, [&] { run_once(defaults); }) * 1e9;
-  const double tuned_ns = ps::time_best_of(reps, [&] { run_once(profile); }) * 1e9;
+  const double ns = ps::time_best_of(reps, run_once) * 1e9;
 
   const std::string name = "mix_kmeans_p" + std::to_string(ranks);
   const std::string shape = "p=" + std::to_string(ranks) + " n/rank=" + std::to_string(n) +
@@ -554,12 +521,11 @@ void bench_mix(int ranks, bool tiny, int reps, const pt::Tunables& profile) {
                             " iters=" + std::to_string(iters);
   g_rows.push_back({name, shape,
                     static_cast<std::uint64_t>(n) * k * static_cast<std::uint64_t>(iters),
-                    default_ns, tuned_ns, default_ns / tuned_ns, ""});
-  std::printf("%-18s %-34s default %11.0f ns   tuned %11.0f ns   speedup %5.2fx\n",
-              name.c_str(), shape.c_str(), default_ns, tuned_ns, default_ns / tuned_ns);
+                    ns, ns, 1.0, ""});
+  std::printf("%-18s %-34s %11.0f ns\n", name.c_str(), shape.c_str(), ns);
 }
 
-void run_all(bool tiny, const pt::Tunables& profile) {
+void run_all(bool tiny) {
   const int reps = tiny ? 1 : 7;
   const int rounds = tiny ? 1 : 20;
   for (const int p : {2, 4, 8}) {
@@ -578,19 +544,18 @@ void run_all(bool tiny, const pt::Tunables& profile) {
   const int coll_rounds = tiny ? 1 : 20;
   const std::vector<std::size_t> sizes =
       tiny ? std::vector<std::size_t>{64} : std::vector<std::size_t>{256, 32768};
-  for (const pt::CollOp op : {pt::CollOp::kBroadcast, pt::CollOp::kReduce,
-                              pt::CollOp::kAllreduce, pt::CollOp::kAllgather}) {
+  for (const pm::CollOp op : {pm::CollOp::kBroadcast, pm::CollOp::kReduce,
+                              pm::CollOp::kAllreduce, pm::CollOp::kAllgather}) {
     for (const int p : {2, 4, 8}) {
       for (const std::size_t n : sizes) {
-        bench_coll(op, p, n, coll_rounds, coll_reps, profile);
+        bench_coll(op, p, n, coll_rounds, coll_reps);
       }
     }
   }
 
-  // End-to-end substrate mix per rank count: kernels + collectives under
-  // the whole profile at once.
+  // End-to-end substrate mix per rank count: kernels + collectives at once.
   for (const int p : {2, 4, 8}) {
-    bench_mix(p, tiny, coll_reps, profile);
+    bench_mix(p, tiny, coll_reps);
   }
 }
 
@@ -625,14 +590,11 @@ void write_json(const std::string& path, bool tiny) {
 int main(int argc, char** argv) {
   bool tiny = false;
   std::string out = "BENCH_substrates.json";
-  std::string profile_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tiny") == 0) {
       tiny = true;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out = argv[++i];
-    } else if (std::strcmp(argv[i], "--profile") == 0 && i + 1 < argc) {
-      profile_path = argv[++i];
     } else if (std::strncmp(argv[i], "--transport=", 12) == 0) {
       try {
         g_transport = pm::parse_transport(argv[i] + 12);
@@ -642,30 +604,15 @@ int main(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "usage: bench_substrates [--tiny] [--out FILE] [--profile FILE]"
+                   "usage: bench_substrates [--tiny] [--out FILE]"
                    " [--transport=inproc|shm|socket]\n");
       return 2;
-    }
-  }
-  // The sweep's tuned side: the named profile's tunables, or (no/bad
-  // profile) the compiled-in defaults, so speedup degrades to ~1 instead
-  // of the harness failing.
-  pt::Tunables profile = pt::defaults();
-  if (!profile_path.empty()) {
-    const pt::LoadResult lr = pt::load_profile_file(profile_path);
-    for (const std::string& w : lr.warnings) {
-      std::fprintf(stderr, "bench_substrates: %s\n", w.c_str());
-    }
-    if (lr.ok) {
-      profile = lr.profile.tunables;
-    } else {
-      std::fprintf(stderr, "bench_substrates: profile rejected, sweeping with defaults\n");
     }
   }
   std::printf("bench_substrates: legacy transport twins vs pooled zero-copy path%s"
               " (transport=%s)\n",
               tiny ? " (tiny smoke sizes)" : "", pm::transport_name(g_transport));
-  run_all(tiny, profile);
+  run_all(tiny);
   write_json(out, tiny);
   std::printf("sink=%g\n", g_sink);
   return 0;

@@ -1,6 +1,6 @@
 /// \file bench_transport.cpp
 /// \brief Cross-process wire regression harness: times ping-pong round-trip
-/// latency, one-way streaming throughput, and the tuned collectives on every
+/// latency, one-way streaming throughput, and the allreduce/allgather collectives on every
 /// transport backend (inproc / shm / socket) across the payload sizes that
 /// matter to the wire — below the shm inline-slot limit, at the boundary, and
 /// on the spill path.  Results are emitted as machine-readable JSON (schema
@@ -40,13 +40,11 @@
 
 #include "mpi/mpi.hpp"
 #include "support/timer.hpp"
-#include "tune/tune.hpp"
 
 namespace {
 
 namespace pm = peachy::mpi;
 namespace ps = peachy::support;
-namespace pt = peachy::tune;
 
 double g_sink = 0.0;  // defeats dead-code elimination; printed at the end
 
@@ -132,9 +130,9 @@ double time_stream(pm::TransportKind k, std::size_t bytes, int count, int reps) 
   return secs * 1e9 / count;
 }
 
-/// Tuned collective under the default (kAuto) tunables: `rounds` rounds of
+/// Collective under the default (kAuto) algorithms: `rounds` rounds of
 /// `op` over `n` doubles on `ranks` ranks.  Returns ns per round.
-double time_coll(pm::TransportKind k, pt::CollOp op, int ranks, std::size_t n, int rounds,
+double time_coll(pm::TransportKind k, pm::CollOp op, int ranks, std::size_t n, int rounds,
                  int reps) {
   pm::RunOptions opts;
   opts.transport = k;
@@ -144,16 +142,16 @@ double time_coll(pm::TransportKind k, pt::CollOp op, int ranks, std::size_t n, i
         [op, n, rounds](pm::Comm& comm) {
           std::vector<double> data(n, 1.0 + 1e-9 * comm.rank());
           std::vector<double> all;
-          if (op == pt::CollOp::kAllgather) {
+          if (op == pm::CollOp::kAllgather) {
             all.resize(n * static_cast<std::size_t>(comm.size()));
           }
           for (int r = 0; r < rounds; ++r) {
             switch (op) {
-              case pt::CollOp::kAllreduce:
+              case pm::CollOp::kAllreduce:
                 comm.allreduce_inplace<double>(std::span<double>{data}, std::plus<>{});
                 for (double& x : data) x = x * 1e-3 + 1.0;  // keep magnitudes O(1)
                 break;
-              case pt::CollOp::kAllgather:
+              case pm::CollOp::kAllgather:
                 comm.allgather_into<double>(std::span<const double>{data},
                                             std::span<double>{all});
                 break;
@@ -161,7 +159,7 @@ double time_coll(pm::TransportKind k, pt::CollOp op, int ranks, std::size_t n, i
                 break;
             }
           }
-          g_sink += op == pt::CollOp::kAllgather ? all.back() : data[0];
+          g_sink += op == pm::CollOp::kAllgather ? all.back() : data[0];
         },
         opts);
   });
@@ -220,12 +218,12 @@ void run_all(bool tiny, int repeat_override) {
     }
   }
 
-  // --- Tuned collectives, p=4 -----------------------------------------
+  // --- Collectives, p=4 -----------------------------------------------
   const std::vector<std::size_t> coll_n =
       tiny ? std::vector<std::size_t>{32} : std::vector<std::size_t>{256, 8192};
   const int coll_rounds = tiny ? 2 : 50;
-  for (const pt::CollOp op : {pt::CollOp::kAllreduce, pt::CollOp::kAllgather}) {
-    const char* opname = op == pt::CollOp::kAllreduce ? "allreduce" : "allgather";
+  for (const pm::CollOp op : {pm::CollOp::kAllreduce, pm::CollOp::kAllgather}) {
+    const char* opname = op == pm::CollOp::kAllreduce ? "allreduce" : "allgather";
     for (const std::size_t n : coll_n) {
       const std::string shape =
           std::string(opname) + " p=4 n=" + std::to_string(n) + " f64";

@@ -202,9 +202,8 @@ std::optional<Snapshot> DurableCheckpointStore::load(const std::string& key) con
   try {
     return load_strict(key);
   } catch (const CheckpointCorruptError& e) {
-    // Paranoid-load discipline (like tune's profile loader): a damaged
-    // snapshot must never crash recovery or restore garbage — warn, count,
-    // fresh start.
+    // Paranoid-load discipline: a damaged snapshot must never crash
+    // recovery or restore garbage — warn, count, fresh start.
     std::cerr << "peachy: " << e.what() << " — ignoring it (fresh start)\n";
     if (obs::enabled()) obs::counter("faults.ckpt.corrupt").add(1);
     return std::nullopt;

@@ -74,60 +74,4 @@ HalvingResult successive_halving(const nn::Dataset& train, const nn::Dataset& va
   return out;
 }
 
-MeasuredHalvingResult successive_halving_measured(std::size_t candidates, std::size_t rounds,
-                                                  std::size_t base_reps,
-                                                  const MeasureFn& measure) {
-  PEACHY_CHECK(candidates >= 1, "halving: no candidates");
-  PEACHY_CHECK(rounds >= 1, "halving: need at least one round");
-  PEACHY_CHECK(base_reps >= 1, "halving: need at least one repetition per round");
-  PEACHY_CHECK(static_cast<bool>(measure), "halving: measure callback is empty");
-
-  MeasuredHalvingResult out;
-  out.history.resize(candidates);
-  struct Live {
-    std::size_t candidate;
-    double score = 0.0;
-  };
-  std::vector<Live> live;
-  live.reserve(candidates);
-  for (std::size_t c = 0; c < candidates; ++c) {
-    out.history[c].candidate = c;
-    live.push_back({c, 0.0});
-  }
-
-  for (std::size_t round = 0; round < rounds && !live.empty(); ++round) {
-    ++out.rounds;
-    // Doubling reps per round: survivors are re-measured from scratch at
-    // the deeper budget, so early noisy rounds only decide who advances,
-    // never the final score.
-    const std::size_t reps = base_reps << round;
-    for (Live& m : live) {
-      m.score = measure(m.candidate, reps);
-      out.total_reps += reps;
-      out.history[m.candidate].score_per_round.push_back(m.score);
-    }
-    if (live.size() == 1 || round + 1 == rounds) break;
-    // Kill the bottom half (ties: lower index survives).
-    std::sort(live.begin(), live.end(), [](const Live& a, const Live& b) {
-      if (a.score != b.score) return a.score < b.score;
-      return a.candidate < b.candidate;
-    });
-    const std::size_t keep = (live.size() + 1) / 2;
-    live.resize(keep);
-    // Restore index order so measurement order stays deterministic.
-    std::sort(live.begin(), live.end(),
-              [](const Live& a, const Live& b) { return a.candidate < b.candidate; });
-  }
-
-  std::sort(live.begin(), live.end(), [](const Live& a, const Live& b) {
-    if (a.score != b.score) return a.score < b.score;
-    return a.candidate < b.candidate;
-  });
-  for (const Live& m : live) {
-    out.final_ranking.push_back(m.candidate);
-    out.history[m.candidate].survived_to_end = true;
-  }
-  return out;
-}
-
 }  // namespace peachy::hpo

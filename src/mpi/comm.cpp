@@ -1,3 +1,5 @@
+#include <array>
+
 #include "mpi/mpi.hpp"
 #include "obs/obs.hpp"
 
@@ -5,59 +7,32 @@ namespace peachy::mpi {
 
 namespace detail {
 
-const char* coll_algo_counter_name(tune::CollAlgo algo) noexcept {
-  switch (algo) {
-    case tune::CollAlgo::kAuto: return "mpi.coll.algo.auto";
-    case tune::CollAlgo::kLinear: return "mpi.coll.algo.linear";
-    case tune::CollAlgo::kBinomial: return "mpi.coll.algo.binomial";
-    case tune::CollAlgo::kRing: return "mpi.coll.algo.ring";
-    case tune::CollAlgo::kRecDouble: return "mpi.coll.algo.recdouble";
-  }
-  return "mpi.coll.algo.auto";
+namespace {
+
+// obs keeps counter and span-name pointers until export, so every name
+// is a string literal indexed by (op, algo) instead of a formatted string.
+constexpr std::array<const char*, kCollAlgoCount> kAlgoCounterNames{
+    "mpi.coll.algo.auto", "mpi.coll.algo.linear", "mpi.coll.algo.binomial",
+    "mpi.coll.algo.ring", "mpi.coll.algo.recdouble"};
+
+constexpr std::array<std::array<const char*, kCollAlgoCount>, kCollOpCount> kSpanNames{{
+    {"broadcast[auto]", "broadcast[linear]", "broadcast[binomial]", "broadcast[ring]",
+     "broadcast[recdouble]"},
+    {"reduce[auto]", "reduce[linear]", "reduce[binomial]", "reduce[ring]", "reduce[recdouble]"},
+    {"allreduce[auto]", "allreduce[linear]", "allreduce[binomial]", "allreduce[ring]",
+     "allreduce[recdouble]"},
+    {"allgather[auto]", "allgather[linear]", "allgather[binomial]", "allgather[ring]",
+     "allgather[recdouble]"},
+}};
+
+}  // namespace
+
+const char* coll_algo_counter_name(CollAlgo algo) noexcept {
+  return kAlgoCounterNames[static_cast<std::size_t>(algo)];
 }
 
-const char* coll_span_name(tune::CollOp op, tune::CollAlgo algo) noexcept {
-  // obs keeps span-name pointers until export, so every (op, algo) pair
-  // maps to a string literal here instead of a formatted string.
-  switch (op) {
-    case tune::CollOp::kBroadcast:
-      switch (algo) {
-        case tune::CollAlgo::kLinear: return "broadcast[linear]";
-        case tune::CollAlgo::kBinomial: return "broadcast[binomial]";
-        case tune::CollAlgo::kRing: return "broadcast[ring]";
-        case tune::CollAlgo::kRecDouble: return "broadcast[recdouble]";
-        case tune::CollAlgo::kAuto: return "broadcast[auto]";
-      }
-      return "broadcast[auto]";
-    case tune::CollOp::kReduce:
-      switch (algo) {
-        case tune::CollAlgo::kLinear: return "reduce[linear]";
-        case tune::CollAlgo::kBinomial: return "reduce[binomial]";
-        case tune::CollAlgo::kRing: return "reduce[ring]";
-        case tune::CollAlgo::kRecDouble: return "reduce[recdouble]";
-        case tune::CollAlgo::kAuto: return "reduce[auto]";
-      }
-      return "reduce[auto]";
-    case tune::CollOp::kAllreduce:
-      switch (algo) {
-        case tune::CollAlgo::kLinear: return "allreduce[linear]";
-        case tune::CollAlgo::kBinomial: return "allreduce[binomial]";
-        case tune::CollAlgo::kRing: return "allreduce[ring]";
-        case tune::CollAlgo::kRecDouble: return "allreduce[recdouble]";
-        case tune::CollAlgo::kAuto: return "allreduce[auto]";
-      }
-      return "allreduce[auto]";
-    case tune::CollOp::kAllgather:
-      switch (algo) {
-        case tune::CollAlgo::kLinear: return "allgather[linear]";
-        case tune::CollAlgo::kBinomial: return "allgather[binomial]";
-        case tune::CollAlgo::kRing: return "allgather[ring]";
-        case tune::CollAlgo::kRecDouble: return "allgather[recdouble]";
-        case tune::CollAlgo::kAuto: return "allgather[auto]";
-      }
-      return "allgather[auto]";
-  }
-  return "coll[auto]";
+const char* coll_span_name(CollOp op, CollAlgo algo) noexcept {
+  return kSpanNames[static_cast<std::size_t>(op)][static_cast<std::size_t>(algo)];
 }
 
 }  // namespace detail
@@ -85,10 +60,8 @@ void Comm::broadcast_bytes(std::vector<std::byte>& data, int root) {
   const int tag = begin_collective(
       {"broadcast", root, 1,
        rank_ == root ? static_cast<std::int64_t>(data.size()) : std::int64_t{-1}});
-  // Non-roots don't know the payload size in advance, so only
-  // byte-unconstrained rules can select an algorithm here.
-  const tune::CollAlgo algo = pick_algo_(tune::CollOp::kBroadcast, tune::kBytesUnknown);
-  const obs::SpanScope span{"mpi", detail::coll_span_name(tune::CollOp::kBroadcast, algo),
+  const CollAlgo algo = pick_algo_(CollOp::kBroadcast);
+  const obs::SpanScope span{"mpi", detail::coll_span_name(CollOp::kBroadcast, algo),
                             "algo", static_cast<std::int64_t>(algo)};
   PayloadBuffer buf;
   if (rank_ == root) {
@@ -127,12 +100,12 @@ void Comm::bcast_payload(PayloadBuffer& buf, int root, int tag) {
   }
 }
 
-void Comm::bcast_payload_algo(PayloadBuffer& buf, int root, int tag, tune::CollAlgo algo) {
+void Comm::bcast_payload_algo(PayloadBuffer& buf, int root, int tag, CollAlgo algo) {
   switch (algo) {
-    case tune::CollAlgo::kLinear:
+    case CollAlgo::kLinear:
       bcast_payload_linear(buf, root, tag);
       return;
-    case tune::CollAlgo::kRing:
+    case CollAlgo::kRing:
       bcast_payload_chain(buf, root, tag);
       return;
     default:
@@ -149,8 +122,7 @@ void Comm::bcast_payload_linear(PayloadBuffer& buf, int root, int tag) {
   if (rank_ == root) {
     // One round: p−1 refcount bumps of the same pooled payload.  On the
     // in-process transport there is no serialization to overlap, so the
-    // tree's extra hops buy nothing — this is the latency-optimal shape
-    // the tuner usually picks at small p.
+    // tree's extra hops buy nothing — the latency-optimal shape at small p.
     for (int k = 1; k < p; ++k) {
       const int dest = (root + k) % p;
       machine_->post_move(world_rank(), to_world(dest), tag, buf.share(), comm_id_);

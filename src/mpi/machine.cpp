@@ -18,10 +18,9 @@ void sleep_ns(std::uint64_t ns) {
 }  // namespace
 
 Machine::Machine(int nranks, analysis::CheckLevel check, const faults::FaultPlan* plan,
-                 std::uint64_t default_timeout_ns, const tune::Tunables* tunables,
+                 std::uint64_t default_timeout_ns, CollAlgos coll_algos,
                  TransportKind transport)
-    : tunables_{tunables != nullptr ? tunables : &tune::active()},
-      default_timeout_ns_{default_timeout_ns} {
+    : coll_algos_{coll_algos}, default_timeout_ns_{default_timeout_ns} {
   PEACHY_CHECK(nranks >= 1, "machine needs at least one rank");
   boxes_.reserve(static_cast<std::size_t>(nranks));
   for (int i = 0; i < nranks; ++i) {

@@ -34,6 +34,7 @@
 ///     std::vector<double> total = comm.allreduce<double>({&local, 1}, std::plus<>{});
 ///   });
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -60,7 +61,6 @@
 #include "obs/obs.hpp"
 #include "support/check.hpp"
 #include "support/parallel_for.hpp"
-#include "tune/tune.hpp"
 
 namespace peachy::mpi {
 
@@ -79,6 +79,48 @@ struct Status {
 struct TrafficStats {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
+};
+
+/// Collective operations with selectable algorithms (DESIGN.md §14).
+enum class CollOp : int { kBroadcast = 0, kReduce = 1, kAllreduce = 2, kAllgather = 3 };
+inline constexpr int kCollOpCount = 4;
+
+/// Algorithm choices.  kAuto is the compiled-in default for each op
+/// (binomial tree for broadcast/reduce, reduce+bcast for allreduce, ring
+/// for allgather).  kRecDouble is defined only at power-of-two rank
+/// counts; elsewhere it runs as kAuto.
+enum class CollAlgo : int { kAuto = 0, kLinear = 1, kBinomial = 2, kRing = 3, kRecDouble = 4 };
+inline constexpr int kCollAlgoCount = 5;
+
+[[nodiscard]] constexpr const char* coll_op_name(CollOp op) noexcept {
+  constexpr std::array<const char*, kCollOpCount> kNames{"broadcast", "reduce", "allreduce",
+                                                         "allgather"};
+  return kNames[static_cast<std::size_t>(op)];
+}
+[[nodiscard]] constexpr const char* coll_algo_name(CollAlgo algo) noexcept {
+  constexpr std::array<const char*, kCollAlgoCount> kNames{"auto", "linear", "binomial", "ring",
+                                                           "recdouble"};
+  return kNames[static_cast<std::size_t>(algo)];
+}
+
+/// One algorithm per collective op for a whole run — kAuto for every op
+/// unless the caller forces one (the test suites and the collective
+/// sweep in bench_substrates do).  Selection is communication-free: every
+/// rank resolves the same (op, p) and branches to the same algorithm
+/// without agreeing on it.
+struct CollAlgos {
+  std::array<CollAlgo, kCollOpCount> by_op{};  ///< value-initialized: all kAuto
+
+  /// Run `algo` for every `op` collective, at every p and payload size.
+  void force(CollOp op, CollAlgo algo) noexcept { by_op[static_cast<std::size_t>(op)] = algo; }
+
+  /// The algorithm `op` runs at rank count `p`: the forced one, except
+  /// that kRecDouble falls back to kAuto when p is not a power of two.
+  [[nodiscard]] CollAlgo pick(CollOp op, int p) const noexcept {
+    const CollAlgo algo = by_op[static_cast<std::size_t>(op)];
+    if (algo == CollAlgo::kRecDouble && (p <= 0 || (p & (p - 1)) != 0)) return CollAlgo::kAuto;
+    return algo;
+  }
 };
 
 namespace detail {
@@ -106,8 +148,7 @@ class Machine : public TransportSink {
  public:
   explicit Machine(int nranks, analysis::CheckLevel check = analysis::CheckLevel::off,
                    const faults::FaultPlan* plan = nullptr,
-                   std::uint64_t default_timeout_ns = 0,
-                   const tune::Tunables* tunables = nullptr,
+                   std::uint64_t default_timeout_ns = 0, CollAlgos coll_algos = {},
                    TransportKind transport = TransportKind::kInproc);
 
   /// Poisons every mailbox if ranks are still blocked in take() (named
@@ -191,12 +232,8 @@ class Machine : public TransportSink {
   [[nodiscard]] std::uint64_t default_timeout_ns() const noexcept {
     return default_timeout_ns_;
   }
-  /// The tunables snapshot this machine was constructed with (explicit
-  /// RunOptions profile, else tune::active() at construction).  Pinned
-  /// for the machine's lifetime so every rank — and every round of every
-  /// collective — selects against the same profile even if set_active()
-  /// runs concurrently.
-  [[nodiscard]] const tune::Tunables& tunables() const noexcept { return *tunables_; }
+  /// The per-op collective algorithms of this run (RunOptions::coll_algos).
+  [[nodiscard]] const CollAlgos& coll_algos() const noexcept { return coll_algos_; }
   [[nodiscard]] faults::FaultInjector* injector() noexcept { return injector_.get(); }
   [[nodiscard]] int size() const noexcept { return static_cast<int>(boxes_.size()); }
   [[nodiscard]] TrafficStats stats() const noexcept;
@@ -245,7 +282,7 @@ class Machine : public TransportSink {
   std::vector<std::unique_ptr<Mailbox>> boxes_;
   std::unique_ptr<analysis::MpiChecker> checker_;
   std::unique_ptr<faults::FaultInjector> injector_;
-  const tune::Tunables* tunables_ = nullptr;
+  CollAlgos coll_algos_;
   std::uint64_t default_timeout_ns_ = 0;
   std::atomic<bool> aborted_{false};
   std::string abort_reason_;
@@ -279,11 +316,11 @@ class Machine : public TransportSink {
 
 /// obs counter name for a selected collective algorithm
 /// ("mpi.coll.algo.<name>").  Returns string literals, as obs requires.
-[[nodiscard]] const char* coll_algo_counter_name(tune::CollAlgo algo) noexcept;
+[[nodiscard]] const char* coll_algo_counter_name(CollAlgo algo) noexcept;
 
 /// Span name carrying the op and its selected algorithm (e.g.
 /// "allreduce[ring]") so traces show which path ran.  String literals.
-[[nodiscard]] const char* coll_span_name(tune::CollOp op, tune::CollAlgo algo) noexcept;
+[[nodiscard]] const char* coll_span_name(CollOp op, CollAlgo algo) noexcept;
 
 }  // namespace detail
 
@@ -516,8 +553,6 @@ class Comm {
   void broadcast_bytes(std::vector<std::byte>& data, int root);
 
   /// Typed broadcast: after the call every rank holds root's vector.
-  /// Non-roots do not know the payload size in advance, so algorithm
-  /// selection uses tune::kBytesUnknown (byte-unconstrained rules only).
   template <typename T>
   void broadcast(std::vector<T>& data, int root) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -525,8 +560,8 @@ class Comm {
     const int tag = begin_collective(
         {"broadcast", root, 1,
          rank_ == root ? static_cast<std::int64_t>(data.size() * sizeof(T)) : std::int64_t{-1}});
-    const tune::CollAlgo algo = pick_algo_(tune::CollOp::kBroadcast, tune::kBytesUnknown);
-    const obs::SpanScope span{"mpi", detail::coll_span_name(tune::CollOp::kBroadcast, algo),
+    const CollAlgo algo = pick_algo_(CollOp::kBroadcast);
+    const obs::SpanScope span{"mpi", detail::coll_span_name(CollOp::kBroadcast, algo),
                               "algo", static_cast<std::int64_t>(algo)};
     PayloadBuffer buf;
     if (rank_ == root) {
@@ -559,11 +594,8 @@ class Comm {
     const int tag = begin_collective(
         {"broadcast", root, 1,
          rank_ == root ? static_cast<std::int64_t>(data.size() * sizeof(T)) : std::int64_t{-1}});
-    // Every rank passes an equal-length span, so the byte count is a
-    // rank-symmetric selection key here (unlike plain broadcast).
-    const tune::CollAlgo algo = pick_algo_(tune::CollOp::kBroadcast,
-                                           static_cast<std::int64_t>(data.size() * sizeof(T)));
-    const obs::SpanScope span{"mpi", detail::coll_span_name(tune::CollOp::kBroadcast, algo),
+    const CollAlgo algo = pick_algo_(CollOp::kBroadcast);
+    const obs::SpanScope span{"mpi", detail::coll_span_name(CollOp::kBroadcast, algo),
                               "algo", static_cast<std::int64_t>(algo)};
     PayloadBuffer buf;
     if (rank_ == root) {
@@ -593,17 +625,14 @@ class Comm {
                   "reduce reads contributions in place from pooled storage");
     const int tag = begin_collective({"reduce", root, sizeof(T),
                                       static_cast<std::int64_t>(data.size())});
-    // Contribution sizes are checked equal on every rank, so the byte
-    // count is a rank-symmetric selection key.
-    const tune::CollAlgo algo = pick_algo_(tune::CollOp::kReduce,
-                                           static_cast<std::int64_t>(data.size() * sizeof(T)));
-    const obs::SpanScope span{"mpi", detail::coll_span_name(tune::CollOp::kReduce, algo),
+    const CollAlgo algo = pick_algo_(CollOp::kReduce);
+    const obs::SpanScope span{"mpi", detail::coll_span_name(CollOp::kReduce, algo),
                               "algo", static_cast<std::int64_t>(algo)};
     switch (algo) {
-      case tune::CollAlgo::kLinear:
+      case CollAlgo::kLinear:
         reduce_linear_(data, op, root, tag);
         return;
-      case tune::CollAlgo::kRing:
+      case CollAlgo::kRing:
         reduce_ring_(data, op, root, tag);
         return;
       default:
@@ -625,7 +654,7 @@ class Comm {
 
   /// In-place allreduce: on return every rank's `data` holds the
   /// element-wise combination — the *same bytes* on every rank, whichever
-  /// algorithm the profile selects (each algorithm pins one canonical
+  /// algorithm the run selects (each algorithm pins one canonical
   /// combine order computed identically everywhere).  The default (and
   /// the binomial selection) is the historical reduce-to-0-then-broadcast
   /// composition, whose two legs run their own selection; ring,
@@ -636,17 +665,15 @@ class Comm {
     static_assert(std::is_trivially_copyable_v<T>);
     static_assert(alignof(T) <= alignof(std::max_align_t),
                   "allreduce reads contributions in place from pooled storage");
-    const tune::CollAlgo algo = pick_algo_(tune::CollOp::kAllreduce,
-                                           static_cast<std::int64_t>(data.size() * sizeof(T)));
-    if (algo == tune::CollAlgo::kRing || algo == tune::CollAlgo::kRecDouble ||
-        algo == tune::CollAlgo::kLinear) {
-      const obs::SpanScope span{"mpi", detail::coll_span_name(tune::CollOp::kAllreduce, algo),
+    const CollAlgo algo = pick_algo_(CollOp::kAllreduce);
+    if (algo == CollAlgo::kRing || algo == CollAlgo::kRecDouble || algo == CollAlgo::kLinear) {
+      const obs::SpanScope span{"mpi", detail::coll_span_name(CollOp::kAllreduce, algo),
                                 "algo", static_cast<std::int64_t>(algo)};
       const int tag = begin_collective({"allreduce", -1, sizeof(T),
                                         static_cast<std::int64_t>(data.size())});
-      if (algo == tune::CollAlgo::kRing) {
+      if (algo == CollAlgo::kRing) {
         allreduce_ring_(data, op, tag);
-      } else if (algo == tune::CollAlgo::kRecDouble) {
+      } else if (algo == CollAlgo::kRecDouble) {
         allreduce_recdouble_(data, op, tag);
       } else {
         allreduce_linear_(data, op, tag);
@@ -717,10 +744,8 @@ class Comm {
   [[nodiscard]] std::vector<T> allgather(std::span<const T> local) {
     static_assert(std::is_trivially_copyable_v<T>);
     const int tag = begin_collective({"allgather", -1, sizeof(T), -1});
-    // Contribution sizes may differ per rank (gatherv semantics), so no
-    // rank-symmetric byte key exists — only unconstrained rules match.
-    const tune::CollAlgo algo = pick_algo_(tune::CollOp::kAllgather, tune::kBytesUnknown);
-    const obs::SpanScope span{"mpi", detail::coll_span_name(tune::CollOp::kAllgather, algo),
+    const CollAlgo algo = pick_algo_(CollOp::kAllgather);
+    const obs::SpanScope span{"mpi", detail::coll_span_name(CollOp::kAllgather, algo),
                               "algo", static_cast<std::int64_t>(algo)};
     const int p = size();
     std::vector<PayloadBuffer> blocks(static_cast<std::size_t>(p));
@@ -730,9 +755,9 @@ class Comm {
       std::memcpy(blocks[static_cast<std::size_t>(rank_)].mutable_data(), local.data(),
                   local.size() * sizeof(T));
     }
-    if (algo == tune::CollAlgo::kLinear) {
+    if (algo == CollAlgo::kLinear) {
       allgather_blocks_linear(blocks, tag);
-    } else if (algo == tune::CollAlgo::kRecDouble) {
+    } else if (algo == CollAlgo::kRecDouble) {
       allgather_blocks_recdouble(blocks, tag);
     } else {
       allgather_blocks_ring(blocks, tag);
@@ -763,11 +788,8 @@ class Comm {
   void allgather_into(std::span<const T> local, std::span<T> out) {
     static_assert(std::is_trivially_copyable_v<T>);
     const int tag = begin_collective({"allgather", -1, sizeof(T), -1});
-    // The full output span has the same length on every rank (the static
-    // block contract), so its byte count is a symmetric selection key.
-    const tune::CollAlgo algo = pick_algo_(tune::CollOp::kAllgather,
-                                           static_cast<std::int64_t>(out.size() * sizeof(T)));
-    const obs::SpanScope span{"mpi", detail::coll_span_name(tune::CollOp::kAllgather, algo),
+    const CollAlgo algo = pick_algo_(CollOp::kAllgather);
+    const obs::SpanScope span{"mpi", detail::coll_span_name(CollOp::kAllgather, algo),
                               "algo", static_cast<std::int64_t>(algo)};
     const int p = size();
     const auto mine = support::static_block(out.size(), static_cast<std::size_t>(p),
@@ -780,7 +802,7 @@ class Comm {
       std::memcpy(out.data() + mine.begin, local.data(), local.size() * sizeof(T));
     }
     if (p == 1) return;
-    if (algo == tune::CollAlgo::kLinear || algo == tune::CollAlgo::kRecDouble) {
+    if (algo == CollAlgo::kLinear || algo == CollAlgo::kRecDouble) {
       // Variant paths run the block exchange over pooled buffers, then
       // place each block by its static offset (sizes are all computable
       // from the shared output length, so placement needs no extra
@@ -792,7 +814,7 @@ class Comm {
         std::memcpy(blocks[static_cast<std::size_t>(rank_)].mutable_data(), local.data(),
                     local.size() * sizeof(T));
       }
-      if (algo == tune::CollAlgo::kLinear) {
+      if (algo == CollAlgo::kLinear) {
         allgather_blocks_linear(blocks, tag);
       } else {
         allgather_blocks_recdouble(blocks, tag);
@@ -947,20 +969,15 @@ class Comm {
                  "send: user tags must be in [0, 2^30)");
   }
 
-  // ---- algorithmic collectives (peachy::tune, DESIGN.md §14) ---------------
-  // Selection is communication-free: every rank resolves the same
-  // (op, p, bytes) key against the machine's pinned tunables snapshot and
+  // ---- algorithmic collectives (DESIGN.md §14) ------------------------------
+  // Every rank resolves the same (op, p) against the run's CollAlgos and
   // branches to the same algorithm without agreeing on it explicitly.
-  // `bytes` must therefore be rank-symmetric; operations whose payload
-  // size non-roots cannot know in advance pass tune::kBytesUnknown, which
-  // matches only byte-unconstrained rules.  kAuto always means the
-  // historical default path, byte-for-byte, so a run with no profile
-  // loaded produces exactly the pre-tune traffic.
+  // kAuto is the default path of every op.
 
   /// Resolve the algorithm for one collective call and bump its
   /// `mpi.coll.algo.<name>` counter.
-  [[nodiscard]] tune::CollAlgo pick_algo_(tune::CollOp op, std::int64_t bytes) {
-    const tune::CollAlgo algo = machine_->tunables().coll_algo(op, size(), bytes);
+  [[nodiscard]] CollAlgo pick_algo_(CollOp op) {
+    const CollAlgo algo = machine_->coll_algos().pick(op, size());
     if (obs::enabled()) obs::counter(detail::coll_algo_counter_name(algo)).add(1);
     return algo;
   }
@@ -982,7 +999,7 @@ class Comm {
   /// Dispatch on the selected broadcast algorithm (kAuto → binomial, the
   /// historical default; kRecDouble has no broadcast form and also takes
   /// the default path).
-  void bcast_payload_algo(PayloadBuffer& buf, int root, int tag, tune::CollAlgo algo);
+  void bcast_payload_algo(PayloadBuffer& buf, int root, int tag, CollAlgo algo);
 
   /// Block-exchange engines behind allgather/allgather_into.  On entry
   /// `blocks[rank_]` holds this rank's contribution; on return every
@@ -1269,10 +1286,8 @@ struct RunOptions {
   /// the run (empty when no plan was active) — the replay-determinism
   /// artifact that scripts/check.sh diffs across reruns.
   std::string* fault_log = nullptr;
-  /// Tunables snapshot for this run (collective algorithm selection).
-  /// nullptr uses the process-wide tune::active() profile — which is the
-  /// compiled-in defaults unless PEACHY_TUNE named a loadable profile.
-  const tune::Tunables* tunables = nullptr;
+  /// Collective algorithm per op for this run (default: kAuto for all).
+  CollAlgos coll_algos;
   /// Message-movement backend.  kDefault defers to PEACHY_TRANSPORT
   /// (unset → inproc).  Inside a launched world the launcher's wire
   /// always wins — every process of one world must speak the same

@@ -59,7 +59,7 @@ TrafficStats run_impl(int nranks, const RunOptions& opts,
   faults::wire::configure(plan);
   const std::uint64_t timeout_ns =
       opts.op_timeout_ns > 0 ? opts.op_timeout_ns : env_timeout_ns();
-  detail::Machine machine{nranks, opts.check, plan, timeout_ns, opts.tunables, kind};
+  detail::Machine machine{nranks, opts.check, plan, timeout_ns, opts.coll_algos, kind};
 
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(nranks));

@@ -179,13 +179,27 @@ void write_us(std::ostream& os, std::uint64_t ns) {
      << static_cast<char>('0' + ns % 10);
 }
 
+/// The rank of a launched rank process (`PEACHY_RANK`), or -1.
+int launched_rank() {
+  static const int rank = [] {
+    const char* env = std::getenv("PEACHY_RANK");
+    if (env == nullptr || *env == '\0') return -1;
+    char* end = nullptr;
+    const long r = std::strtol(env, &end, 10);
+    return *end == '\0' && r >= 0 && r <= 1'000'000 ? static_cast<int>(r) : -1;
+  }();
+  return rank;
+}
+
 void write_trace_events(std::ostream& os) {
+  // One trace per process; a launched rank's events carry its rank as pid.
+  const int pid = launched_rank() >= 0 ? launched_rank() : 1;
   bool first = true;
   for_each_event([&](const ThreadBuffer& tb, const Event& ev) {
     if (!first) os << ",\n";
     first = false;
     if (ev.kind == Event::Kind::kSpan) {
-      os << R"(  {"ph":"X","pid":1,"tid":)" << tb.tid << R"(,"cat":")";
+      os << R"(  {"ph":"X","pid":)" << pid << R"(,"tid":)" << tb.tid << R"(,"cat":")";
       json_escape(os, ev.cat);
       os << R"(","name":")";
       json_escape(os, ev.name);
@@ -200,7 +214,7 @@ void write_trace_events(std::ostream& os) {
       }
       os << '}';
     } else {
-      os << R"(  {"ph":"C","pid":1,"tid":)" << tb.tid << R"(,"name":")";
+      os << R"(  {"ph":"C","pid":)" << pid << R"(,"tid":)" << tb.tid << R"(,"name":")";
       json_escape(os, ev.name);
       os << R"(","ts":)";
       write_us(os, ev.ts_ns);
@@ -231,7 +245,9 @@ void dump_at_exit() {
 
 bool init_from_env() {
   const char* path = std::getenv("PEACHY_TRACE");
-  if (path != nullptr && *path != '\0') enable(path);
+  if (path == nullptr || *path == '\0') return true;
+  const int rank = launched_rank();
+  enable(rank >= 0 ? std::string{path} + ".rank" + std::to_string(rank) : std::string{path});
   return true;
 }
 

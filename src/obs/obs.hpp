@@ -20,7 +20,10 @@
 /// **Gating.**  The layer is always compiled and enabled by the
 /// environment variable `PEACHY_TRACE=<file>` (trace JSON is written to
 /// `<file>` at process exit, the counter summary to stderr), or
-/// programmatically via `enable()` for tests.  When disabled, every hook
+/// programmatically via `enable()` for tests.  A rank process of a
+/// launched world (`PEACHY_RANK=<n>` in its environment, set by
+/// mpi::launch) writes `<file>.rank<n>` instead, with trace pid `n`, so
+/// the processes of one world never overwrite each other's trace.  When disabled, every hook
 /// costs one relaxed atomic load — measured at <2% on `bench_kernels`
 /// (scripts/check.sh `obs-smoke` guards this).
 ///

@@ -1,13 +1,15 @@
 // Tests for the mini-MPI runtime: point-to-point semantics, every
 // collective against a serial reference, wildcards, probe, error
-// propagation, and traffic accounting.  Collectives are property-tested
-// across rank counts (TEST_P) because the tree/ring algorithms take
-// different code paths at p = 1, 2, 3, 4, 5, 8.
+// propagation, traffic accounting, and every forced collective algorithm.
+// Collectives are property-tested across rank counts (TEST_P) because the
+// tree/ring algorithms take different code paths at p = 1, 2, 3, 4, 5, 8.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <numeric>
@@ -16,9 +18,11 @@
 #include <string>
 #include <thread>
 
+#include "faults/plan.hpp"
 #include "mpi/mpi.hpp"
 
 namespace pm = peachy::mpi;
+namespace pf = peachy::faults;
 
 // ---- point to point ----------------------------------------------------------
 
@@ -568,4 +572,242 @@ TEST(MpiTeardown, DestroyingMachineWakesBlockedReceiversWithNamedReason) {
   EXPECT_NE(caught.find("machine destroyed while ranks were still blocked in recv"),
             std::string::npos)
       << "actual: " << caught;
+}
+
+// ---- collective algorithm choice ---------------------------------------------
+// Algorithm choice never changes integer results and never makes float
+// results nondeterministic: integer reductions are bit-identical across
+// every algorithm, and each algorithm pins one combine order, so the same
+// (algorithm, p) always produces the same bytes — also under fault
+// injection (delays and stalls reorder wall-clock, never the combine order).
+
+namespace {
+
+/// Run options' algorithm choice forcing `algo` for `op`.
+pm::CollAlgos forced(pm::CollOp op, pm::CollAlgo algo) {
+  pm::CollAlgos a;
+  a.force(op, algo);
+  return a;
+}
+
+constexpr pm::CollAlgo kAllAlgos[] = {pm::CollAlgo::kAuto, pm::CollAlgo::kLinear,
+                                      pm::CollAlgo::kBinomial, pm::CollAlgo::kRing,
+                                      pm::CollAlgo::kRecDouble};
+
+}  // namespace
+
+TEST(TuneSelect, DefaultsAreAutoEverywhere) {
+  const pm::CollAlgos a;
+  for (const pm::CollOp op : {pm::CollOp::kBroadcast, pm::CollOp::kReduce,
+                              pm::CollOp::kAllreduce, pm::CollOp::kAllgather}) {
+    for (const int p : {1, 3, 4}) EXPECT_EQ(a.pick(op, p), pm::CollAlgo::kAuto);
+  }
+  EXPECT_EQ(pm::RunOptions{}.coll_algos.by_op, a.by_op);
+}
+
+TEST(TuneSelect, RecDoubleDemotedAtNonPowerOfTwo) {
+  const pm::CollAlgos a = forced(pm::CollOp::kAllreduce, pm::CollAlgo::kRecDouble);
+  EXPECT_EQ(a.pick(pm::CollOp::kAllreduce, 8), pm::CollAlgo::kRecDouble);
+  EXPECT_EQ(a.pick(pm::CollOp::kAllreduce, 6), pm::CollAlgo::kAuto);
+  EXPECT_EQ(a.pick(pm::CollOp::kAllreduce, 1), pm::CollAlgo::kRecDouble);
+  EXPECT_EQ(a.pick(pm::CollOp::kReduce, 8), pm::CollAlgo::kAuto);
+}
+
+TEST(TuneCollectives, IntegerReductionsIdenticalAcrossAlgorithms) {
+  for (const int p : {2, 3, 4, 5, 8}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                                std::size_t{64}, std::size_t{1000}}) {
+      std::vector<std::int64_t> expect_all(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        // sum over ranks r of (r*31 + i): p*31*(p-1)/2 ... computed below
+        std::int64_t s = 0;
+        for (int r = 0; r < p; ++r) s += static_cast<std::int64_t>(r) * 31 + static_cast<std::int64_t>(i);
+        expect_all[i] = s;
+      }
+      for (const pm::CollAlgo algo : kAllAlgos) {
+        pm::RunOptions opts;
+        opts.coll_algos = forced(pm::CollOp::kAllreduce, algo);
+        pm::run(
+            p,
+            [&](pm::Comm& comm) {
+              std::vector<std::int64_t> data(n);
+              for (std::size_t i = 0; i < n; ++i) {
+                data[i] = static_cast<std::int64_t>(comm.rank()) * 31 +
+                          static_cast<std::int64_t>(i);
+              }
+              comm.allreduce_inplace<std::int64_t>(std::span<std::int64_t>{data},
+                                                   std::plus<>{});
+              ASSERT_EQ(data, expect_all) << "allreduce algo="
+                                          << pm::coll_algo_name(algo) << " p=" << p;
+            },
+            opts);
+
+        opts.coll_algos = forced(pm::CollOp::kReduce, algo);
+        pm::run(
+            p,
+            [&](pm::Comm& comm) {
+              std::vector<std::int64_t> data(n);
+              for (std::size_t i = 0; i < n; ++i) {
+                data[i] = static_cast<std::int64_t>(comm.rank()) * 31 +
+                          static_cast<std::int64_t>(i);
+              }
+              comm.reduce_inplace<std::int64_t>(std::span<std::int64_t>{data},
+                                                std::plus<>{}, 0);
+              if (comm.rank() == 0) {
+                ASSERT_EQ(data, expect_all) << "reduce algo=" << pm::coll_algo_name(algo)
+                                            << " p=" << p;
+              }
+            },
+            opts);
+      }
+    }
+  }
+}
+
+TEST(TuneCollectives, BroadcastAndAllgatherIdenticalAcrossAlgorithms) {
+  for (const int p : {2, 3, 4, 8}) {
+    for (const pm::CollAlgo algo : kAllAlgos) {
+      pm::RunOptions opts;
+      opts.coll_algos = forced(pm::CollOp::kBroadcast, algo);
+      pm::run(
+          p,
+          [&](pm::Comm& comm) {
+            std::vector<std::int32_t> data(257);
+            if (comm.rank() == 1) {
+              std::iota(data.begin(), data.end(), 42);
+            }
+            comm.broadcast_into<std::int32_t>(std::span<std::int32_t>{data}, 1);
+            ASSERT_EQ(data.front(), 42);
+            ASSERT_EQ(data.back(), 42 + 256);
+            // The unsized variant runs the same forced algorithm.
+            std::vector<std::int32_t> var;
+            if (comm.rank() == 0) var.assign(13, comm.size());
+            comm.broadcast<std::int32_t>(var, 0);
+            ASSERT_EQ(var.size(), 13u);
+            ASSERT_EQ(var.front(), comm.size());
+          },
+          opts);
+
+      opts.coll_algos = forced(pm::CollOp::kAllgather, algo);
+      pm::run(
+          p,
+          [&](pm::Comm& comm) {
+            const std::size_t block = 33;
+            std::vector<std::int64_t> mine(block);
+            for (std::size_t i = 0; i < block; ++i) {
+              mine[i] = comm.rank() * 1000 + static_cast<std::int64_t>(i);
+            }
+            std::vector<std::int64_t> all(block * static_cast<std::size_t>(comm.size()));
+            comm.allgather_into<std::int64_t>(std::span<const std::int64_t>{mine},
+                                              std::span<std::int64_t>{all});
+            for (int r = 0; r < comm.size(); ++r) {
+              for (std::size_t i = 0; i < block; ++i) {
+                ASSERT_EQ(all[static_cast<std::size_t>(r) * block + i],
+                          r * 1000 + static_cast<std::int64_t>(i))
+                    << "allgather algo=" << pm::coll_algo_name(algo) << " p=" << p;
+              }
+            }
+            // The variable-size variant runs the same forced algorithm.
+            const auto cat = comm.allgather<std::int64_t>(std::span<const std::int64_t>{mine});
+            ASSERT_EQ(cat, all);
+          },
+          opts);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Float determinism: same (algorithm, p) ⇒ same bytes, run after run,
+// with and without fault injection.
+
+namespace {
+
+/// One allreduce over magnitude-skewed doubles; returns rank 0's result
+/// bytes.  FP addition is not associative, so different algorithms MAY
+/// differ — the contract is that one algorithm never differs from itself.
+std::vector<double> float_allreduce_once(int p, pm::CollAlgo algo, const pf::FaultPlan* plan) {
+  pm::RunOptions opts;
+  opts.coll_algos = forced(pm::CollOp::kAllreduce, algo);
+  opts.plan = plan;
+  std::vector<double> out;
+  std::vector<std::vector<double>> per_rank(static_cast<std::size_t>(p));
+  pm::run(
+      p,
+      [&](pm::Comm& comm) {
+        std::vector<double> data(512);
+        for (std::size_t i = 0; i < data.size(); ++i) {
+          // Exponent-staggered contributions make the combine order
+          // visible in the low mantissa bits.
+          data[i] = std::ldexp(1.0 + 1e-3 * comm.rank() + 1e-6 * static_cast<double>(i),
+                               comm.rank() % 3 - 1);
+        }
+        comm.allreduce_inplace<double>(std::span<double>{data}, std::plus<>{});
+        per_rank[static_cast<std::size_t>(comm.rank())] = data;
+        if (comm.rank() == 0) out = data;
+      },
+      opts);
+  // Every rank of one run must already agree bit-for-bit.
+  for (const auto& r : per_rank) {
+    EXPECT_EQ(0, std::memcmp(r.data(), out.data(), out.size() * sizeof(double)))
+        << "ranks disagree, algo=" << pm::coll_algo_name(algo) << " p=" << p;
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(TuneCollectives, FloatAllreduceRepeatDeterministicPerAlgorithm) {
+  for (const int p : {2, 3, 4, 8}) {
+    for (const pm::CollAlgo algo : kAllAlgos) {
+      const std::vector<double> a = float_allreduce_once(p, algo, nullptr);
+      const std::vector<double> b = float_allreduce_once(p, algo, nullptr);
+      ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)))
+          << "repeat divergence, algo=" << pm::coll_algo_name(algo) << " p=" << p;
+    }
+  }
+}
+
+TEST(TuneCollectives, FloatDeterminismHoldsUnderFaultInjection) {
+  // Delays and stalls perturb wall-clock interleaving but must not
+  // perturb the combine order: results with and without the plan are
+  // bit-identical.
+  const pf::FaultPlan plan = pf::FaultPlan::parse(
+      "seed=11; delay@rank=1,prob=0.5,ns=200000; stall@rank=0,prob=0.25,ns=100000");
+  for (const pm::CollAlgo algo :
+       {pm::CollAlgo::kAuto, pm::CollAlgo::kRing, pm::CollAlgo::kRecDouble}) {
+    const std::vector<double> clean = float_allreduce_once(4, algo, nullptr);
+    const std::vector<double> faulty = float_allreduce_once(4, algo, &plan);
+    ASSERT_EQ(0, std::memcmp(clean.data(), faulty.data(), clean.size() * sizeof(double)))
+        << "faults changed bytes, algo=" << pm::coll_algo_name(algo);
+  }
+}
+
+TEST(TuneCollectives, FloatReduceRepeatDeterministicPerAlgorithm) {
+  for (const pm::CollAlgo algo :
+       {pm::CollAlgo::kAuto, pm::CollAlgo::kLinear, pm::CollAlgo::kRing}) {
+    std::vector<double> first;
+    for (int run = 0; run < 2; ++run) {
+      pm::RunOptions opts;
+      opts.coll_algos = forced(pm::CollOp::kReduce, algo);
+      std::vector<double> got;
+      pm::run(
+          5,
+          [&](pm::Comm& comm) {
+            std::vector<double> data(128);
+            for (std::size_t i = 0; i < data.size(); ++i) {
+              data[i] = std::ldexp(1.0 + 1e-4 * comm.rank(),
+                                   static_cast<int>(i % 5) + comm.rank() % 2);
+            }
+            comm.reduce_inplace<double>(std::span<double>{data}, std::plus<>{}, 2);
+            if (comm.rank() == 2) got = data;
+          },
+          opts);
+      if (run == 0) {
+        first = got;
+      } else {
+        ASSERT_EQ(0, std::memcmp(first.data(), got.data(), got.size() * sizeof(double)))
+            << "reduce repeat divergence, algo=" << pm::coll_algo_name(algo);
+      }
+    }
+  }
 }

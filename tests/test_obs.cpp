@@ -15,9 +15,13 @@
 #include <thread>
 #include <vector>
 
+#include <stdlib.h>
+#include <unistd.h>
+
 #include "analysis/report.hpp"
 #include "faults/detect.hpp"
 #include "faults/plan.hpp"
+#include "mpi/launch.hpp"
 #include "mpi/mpi.hpp"
 #include "obs/obs.hpp"
 #include "support/parallel_for.hpp"
@@ -216,6 +220,44 @@ TEST(ObsTrace, WritesSchemaTaggedChromeJson) {
 TEST(ObsTrace, UnwritablePathReturnsFalse) {
   ScopedTrace trace;
   EXPECT_FALSE(po::write_trace("/nonexistent-dir/trace.json"));
+}
+
+TEST(ObsTrace, LaunchedRanksWriteOneTraceEach) {
+  // Every process of a launched world reads the same PEACHY_TRACE; each
+  // must write <path>.rank<N> with pid N rather than all of them racing
+  // to overwrite <path> with pid 1.
+  const std::string path =
+      ::testing::TempDir() + "obs_launch_" + std::to_string(::getpid()) + ".json";
+  ASSERT_EQ(::setenv("PEACHY_TRACE", path.c_str(), 1), 0);
+  pm::LaunchOptions lo;
+  lo.nranks = 2;
+  lo.kind = pm::TransportKind::kShm;
+  const pm::LaunchResult res = pm::launch(lo, {PEACHY_OBS_TRACE_RANK});
+  ::unsetenv("PEACHY_TRACE");
+  ASSERT_TRUE(res.all_clean());
+  for (int r = 0; r < 2; ++r) {
+    const std::string file = path + ".rank" + std::to_string(r);
+    std::ifstream in{file};
+    ASSERT_TRUE(in.good()) << file;
+    std::stringstream ss;
+    ss << in.rdbuf();
+    const std::string json = ss.str();
+    std::remove(file.c_str());
+    EXPECT_EQ(json.rfind("{\n\"schema\": \"peachy-trace/1\"", 0), 0u) << file;
+    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
+              std::count(json.begin(), json.end(), '}'));
+    // Non-empty, and every event carries this rank's pid.
+    const std::string mine = "\"pid\":" + std::to_string(r) + ",";
+    std::size_t events = 0;
+    for (std::size_t at = json.find("\"pid\":"); at != std::string::npos;
+         at = json.find("\"pid\":", at + 1)) {
+      EXPECT_EQ(json.compare(at, mine.size(), mine), 0) << file;
+      ++events;
+    }
+    EXPECT_GT(events, 0u) << file;
+    EXPECT_NE(json.find("\"name\":\"reduce[auto]\""), std::string::npos) << file;
+  }
+  std::remove(path.c_str());
 }
 
 // ---- substrate integration ---------------------------------------------------

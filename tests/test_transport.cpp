@@ -1,6 +1,6 @@
 // Cross-backend conformance for the mini-MPI transport seam: every
 // user-visible behavior — point-to-point semantics, wildcards, every
-// tuned collective algorithm, fault injection + shrink recovery, the
+// forced collective algorithm, fault injection + shrink recovery, the
 // recv_into size contract, and op timeouts — must be identical over
 // inproc, shm, and socket (TEST_P over the three kinds).  The wire
 // backends route even same-process messages through full frame
@@ -25,11 +25,9 @@
 #include "mpi/shm_ring.hpp"
 #include "obs/obs.hpp"
 #include "traffic/mpi_traffic.hpp"
-#include "tune/tune.hpp"
 
 namespace pm = peachy::mpi;
 namespace pf = peachy::faults;
-namespace pt = peachy::tune;
 
 namespace {
 
@@ -41,16 +39,6 @@ class Transports : public ::testing::TestWithParam<pm::TransportKind> {
     return o;
   }
 };
-
-/// Tunables forcing `algo` for `op` everywhere (test_tune.cpp's helper).
-pt::Tunables forced(pt::CollOp op, pt::CollAlgo algo) {
-  pt::Tunables t;
-  pt::CollRule rule;
-  rule.op = op;
-  rule.algo = algo;
-  t.coll_rules.push_back(rule);
-  return t;
-}
 
 }  // namespace
 
@@ -181,16 +169,15 @@ TEST_P(Transports, CollectivesMatchSerialAtEveryRankCount) {
 TEST_P(Transports, EveryTunedAlgorithmAgreesOnEveryBackend) {
   // Each forced collective algorithm must produce the same bytes over
   // every transport — the seam moves messages, never reorders math.
-  constexpr pt::CollAlgo kAlgos[] = {pt::CollAlgo::kAuto, pt::CollAlgo::kLinear,
-                                     pt::CollAlgo::kBinomial, pt::CollAlgo::kRing,
-                                     pt::CollAlgo::kRecDouble};
-  constexpr pt::CollOp kOps[] = {pt::CollOp::kBroadcast, pt::CollOp::kReduce,
-                                 pt::CollOp::kAllreduce, pt::CollOp::kAllgather};
-  for (const pt::CollOp op : kOps) {
-    for (const pt::CollAlgo algo : kAlgos) {
-      const pt::Tunables t = forced(op, algo);
+  constexpr pm::CollAlgo kAlgos[] = {pm::CollAlgo::kAuto, pm::CollAlgo::kLinear,
+                                     pm::CollAlgo::kBinomial, pm::CollAlgo::kRing,
+                                     pm::CollAlgo::kRecDouble};
+  constexpr pm::CollOp kOps[] = {pm::CollOp::kBroadcast, pm::CollOp::kReduce,
+                                 pm::CollOp::kAllreduce, pm::CollOp::kAllgather};
+  for (const pm::CollOp op : kOps) {
+    for (const pm::CollAlgo algo : kAlgos) {
       pm::RunOptions o = opts();
-      o.tunables = &t;
+      o.coll_algos.force(op, algo);
       const int p = 4;  // power of two: every algorithm (incl. recdouble) is eligible
       std::vector<double> sums(p, 0.0);
       std::vector<std::vector<float>> gathered(p);
